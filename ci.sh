@@ -18,10 +18,10 @@ echo "== lint: cidre-lint (determinism & safety ratchet) =="
 # O1 unordered hash iteration, F1 partial_cmp, C1 lossy time/mem casts,
 # E1 ambient entropy, U1 bare unwrap, P1 library printing) plus the
 # flow-sensitive concurrency rules (G1 guard across await, K1 wake
-# under an executor lock, L1 lock-order cycles, S1 conductor
-# confinement — seeded from lint-locks.toml). Fails on any violation
+# under an executor lock, L1 lock-order cycles — K1/L1 seeded from
+# lint-locks.toml). Fails on any violation
 # not accepted by lint-baseline.toml, on a stale baseline, and on any
-# unjustified `lint:allow`. See DESIGN.md §8 and §13. The analyzer must
+# unjustified `lint:allow`. See DESIGN.md §8 and §12. The analyzer must
 # itself be deterministic: run the JSON report twice and require
 # byte-identical output, inside a 10s wall-time budget for both scans.
 cargo build -q --release --offline -p cidre-lint
@@ -45,12 +45,12 @@ trap - EXIT
 echo "== tier 1: release build (offline) =="
 cargo build --release --offline
 
-echo "== tier 1: sharded oracle smoke (2 shards, offline) =="
-# Fast fail signal for the epoch-barrier protocol (DESIGN.md §9):
-# one pinned seed through all three engines at 2 shards, in release so
-# it finishes in seconds. The full randomized three-way oracle runs in
-# the debug suite below.
-cargo test -q --offline --release --test equivalence sharded_oracle_smoke_two_shards
+echo "== tier 1: oracle smoke (offline) =="
+# Fast fail signal for the indexed hot paths: one pinned seed through
+# both scan modes, untraced and traced, in release so it finishes in
+# seconds. The full randomized two-way oracle runs in the debug suite
+# below.
+cargo test -q --offline --release --test equivalence pinned_oracle_smoke
 
 echo "== tier 1: tests (offline) =="
 # Workspace default-members exclude crates/live, whose wall-clock
@@ -67,10 +67,10 @@ cargo run -q --release --offline -p cidre-bench --bin live_load -- \
   --smoke --no-report
 
 echo "== tier 1: pareto sweep smoke (offline) =="
-# The cost-ledger Pareto frontier (DESIGN.md §11): run the sweep twice
+# The cost-ledger Pareto frontier (DESIGN.md §10): run the sweep twice
 # at tiny scale into scratch dirs and require byte-identical CSVs —
-# the cheap end-to-end determinism check; the golden hash, --jobs, and
-# shard-count pins live in tests/determinism.rs.
+# the cheap end-to-end determinism check; the golden hash and --jobs
+# pins live in tests/determinism.rs.
 pareto_a="$(mktemp -d)"
 pareto_b="$(mktemp -d)"
 trap 'rm -rf "$pareto_a" "$pareto_b"' EXIT
@@ -83,11 +83,11 @@ rm -rf "$pareto_a" "$pareto_b"
 trap - EXIT
 
 echo "== tier 1: trace export smoke (offline) =="
-# The observability sweep (DESIGN.md §12): run the latency-waterfall
+# The observability sweep (DESIGN.md §11): run the latency-waterfall
 # experiment twice at tiny scale and require the CSV *and* every
 # Chrome trace-event export byte-identical — recording must be as
-# deterministic as the runs it records. Shard-count and --jobs
-# invariance plus the golden hash live in tests/determinism.rs.
+# deterministic as the runs it records. --jobs invariance and the
+# golden hash live in tests/determinism.rs.
 trace_a="$(mktemp -d)"
 trace_b="$(mktemp -d)"
 trap 'rm -rf "$trace_a" "$trace_b"' EXIT
@@ -118,20 +118,17 @@ echo "== bench lane: live load serving (offline) =="
 # into BENCH_results.json for bench_guard to ratchet.
 cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke
 
-echo "== bench guard: large-N throughput + sharded scaling + live lanes =="
+echo "== bench guard: large-N throughput + live lanes =="
 # Fails on a >20% events/sec regression of replay/large_n vs the
-# committed baseline, if the indexed scan drops below 2x the retained
-# reference scan, or if the sharded scaling lane (scaling/shards_4 vs
-# scaling/shards_1) falls below its parallelism-aware floor — 2.5x on
-# >=4-CPU hosts, an overhead bound on narrower ones — or regresses
-# >20% vs its committed baseline. The live serving lanes ratchet too,
+# committed baseline, or if the indexed scan drops below 2x the
+# retained reference scan. The live serving lanes ratchet too,
 # at a looser 35% (wall-clock noise): sustained req/s may not fall,
 # and live p99 wait may not grow, past that band. The memory ratchet
 # (serve_smoke/gbs_per_req, deterministic sim-side GB-s per request)
 # holds the tight 20% band: the keep-warm bill may not quietly grow.
 # The recorder-off gate holds replay/large_n (which runs with the
 # NoopRecorder) within 2% of the committed baseline, best sample vs
-# median, proving the disabled recorder is free (DESIGN.md §12).
+# median, proving the disabled recorder is free (DESIGN.md §11).
 cargo run -q --release --offline -p cidre-bench --bin bench_guard -- \
   "$baseline" BENCH_results.json
 

@@ -5,9 +5,9 @@ use std::hint::black_box;
 
 use cidre_core::{cidre_stack, CidreConfig};
 use faas_policies::faascache_stack;
-use faas_sim::{baseline_lru_stack, run, ScanMode, SimConfig};
+use faas_sim::{run, ScanMode, SimConfig};
 use faas_testkit::Harness;
-use faas_trace::{gen, TimeDelta};
+use faas_trace::gen;
 
 fn main() {
     let mut h = Harness::new("sim_throughput");
@@ -49,29 +49,5 @@ fn main() {
     h.bench("replay/large_n_reference", || {
         black_box(run(&trace, &reference, faascache_stack()));
     });
-
-    // Sharded-engine scaling lane (DESIGN.md §9): a large warm-heavy
-    // replay — 512 functions at a high per-function rate against huge
-    // workers (no eviction pressure) with 60 s ticks — so nearly every
-    // event is a shard-local warm hit or quiet completion. The same
-    // trace runs at 1/2/4 shards; `bench_guard` gates the 4-shard
-    // efficiency against a parallelism-aware floor (2.5x on hosts with
-    // >= 4 CPUs).
-    let trace = gen::azure(3)
-        .functions(512)
-        .minutes(2)
-        .rate_per_function(2.0)
-        .build();
-    let config = SimConfig::default()
-        .workers_mb(vec![1_048_576; 4])
-        .tick(TimeDelta::from_secs(60));
-    for shards in [1usize, 2, 4] {
-        let cfg = config.clone().shards(shards);
-        h.samples(5);
-        h.throughput_elems(trace.len() as u64);
-        h.bench(&format!("scaling/shards_{shards}"), || {
-            black_box(run(&trace, &cfg, baseline_lru_stack()));
-        });
-    }
     h.finish();
 }

@@ -10,13 +10,6 @@
 //! * the indexed scan is no longer at least 2x the retained reference
 //!   scan (`replay/large_n_reference`) within the current run — the
 //!   speedup the indexed hot paths exist to provide, or
-//! * the sharded engine's 4-shard scaling lane (`scaling/shards_4` vs
-//!   `scaling/shards_1`) drops below its parallelism-aware floor:
-//!   2.5x on hosts with at least 4 CPUs; on narrower hosts — where a
-//!   wall-clock speedup is physically impossible — an overhead bound
-//!   instead (the sharded run may not fall below a fixed fraction of
-//!   sequential throughput), plus the same 20% ratchet against the
-//!   committed `scaling/shards_4` baseline either way, or
 //! * the live load-serving lane regressed: sustained requests/sec
 //!   (`live_load` / `serve_smoke/rps`) fell more than 35% below the
 //!   committed baseline, or the live p99 wait
@@ -32,7 +25,7 @@
 //!   safe — any drift is a real cost-model or policy change, not
 //!   noise, or
 //! * the disabled trace recorder stopped being free: `run()` drives
-//!   the engine with the no-op recorder (DESIGN.md §12), so
+//!   the engine with the no-op recorder (DESIGN.md §11), so
 //!   `replay/large_n` *is* the recorder-off path, and its **best**
 //!   sample (events/sec at `min_ns`) may not fall more than 2% below
 //!   the committed baseline median. Comparing best-vs-median keeps the
@@ -56,20 +49,6 @@ const MAX_REGRESSION: f64 = 0.20;
 /// Minimum required indexed-over-reference speedup.
 const MIN_SPEEDUP: f64 = 2.0;
 
-/// Minimum required 4-shard-over-sequential speedup on hosts with at
-/// least this many CPUs (the shards can actually run concurrently).
-const MIN_SHARD_SPEEDUP: f64 = 2.5;
-const SHARD_SPEEDUP_MIN_CPUS: usize = 4;
-
-/// On hosts too narrow for real parallelism, the scaling gate degrades
-/// to a loose overhead backstop: 4 shards time-sliced onto fewer CPUs
-/// must still deliver at least this fraction of sequential throughput.
-/// The conservative-barrier machinery (per-phase checkpoints, rollback
-/// replays, log merges) measures ~0.04x on a 1-CPU host, so this floor
-/// only catches catastrophic blowups; the 20% baseline ratchet below is
-/// the real regression guard on narrow hosts.
-const SHARD_OVERHEAD_FLOOR: f64 = 0.01;
-
 /// Maximum tolerated relative regression on the live load-serving
 /// lanes (rps down, or p99 wait up). Wall-clock end-to-end runs are
 /// noisier than microbenchmarks, hence the looser threshold.
@@ -77,7 +56,7 @@ const LIVE_MAX_REGRESSION: f64 = 0.35;
 
 /// Maximum tolerated events/sec cost of the *disabled* trace recorder
 /// on the large-N replay — the zero-cost-when-off contract of
-/// DESIGN.md §12, enforced on the best sample vs the baseline median.
+/// DESIGN.md §11, enforced on the best sample vs the baseline median.
 const MAX_RECORDER_OVERHEAD: f64 = 0.02;
 
 /// Extracts field `key` for `bench` under `target`.
@@ -165,60 +144,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Gate 3: sharded scaling efficiency (parallelism-aware floor).
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    match (
-        throughput(&current, "sim_throughput", "scaling/shards_1"),
-        throughput(&current, "sim_throughput", "scaling/shards_4"),
-    ) {
-        (Some(seq), Some(sharded)) if seq > 0.0 => {
-            let speedup = sharded / seq;
-            let floor = if cpus >= SHARD_SPEEDUP_MIN_CPUS {
-                MIN_SHARD_SPEEDUP
-            } else {
-                SHARD_OVERHEAD_FLOOR
-            };
-            if speedup < floor {
-                eprintln!(
-                    "bench_guard: 4-shard scaling {speedup:.2}x < {floor}x floor on \
-                     {cpus}-CPU host (sharded {sharded:.0} vs sequential {seq:.0} elems/s)"
-                );
-                ok = false;
-            } else {
-                println!(
-                    "bench_guard: 4-shard scaling {speedup:.2}x (floor {floor}x, \
-                     {cpus} CPUs, ok)"
-                );
-            }
-            // Ratchet: the 4-shard lane may not regress >20% against
-            // the committed baseline (same host in CI, so this holds
-            // the achieved efficiency wherever the floor is coarse).
-            if let Some(base) = throughput(&baseline, "sim_throughput", "scaling/shards_4") {
-                let floor = base * (1.0 - MAX_REGRESSION);
-                if sharded < floor {
-                    eprintln!(
-                        "bench_guard: scaling/shards_4 regressed: {sharded:.0} elems/s < \
-                         {floor:.0} (baseline {base:.0} - {:.0}%)",
-                        MAX_REGRESSION * 100.0
-                    );
-                    ok = false;
-                } else {
-                    println!(
-                        "bench_guard: scaling/shards_4 {sharded:.0} elems/s vs \
-                         baseline {base:.0} (ok)"
-                    );
-                }
-            } else {
-                println!("bench_guard: no baseline for scaling/shards_4; skipping ratchet");
-            }
-        }
-        _ => {
-            eprintln!("bench_guard: current run lacks the scaling/shards_{{1,4}} lane");
-            ok = false;
-        }
-    }
-
-    // Gate 4: live load-serving lanes (looser, wall-clock ratchets).
+    // Gate 3: live load-serving lanes (looser, wall-clock ratchets).
     match throughput(&current, "live_load", "serve_smoke/rps") {
         Some(rps) => {
             match throughput(&baseline, "live_load", "serve_smoke/rps") {
@@ -274,7 +200,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Gate 5: the keep-warm memory ratchet — GB-seconds per served
+    // Gate 4: the keep-warm memory ratchet — GB-seconds per served
     // request (deterministic, lower is better) may not grow >20%
     // against the committed baseline.
     match bench_field(
@@ -317,7 +243,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Gate 6: zero-cost-when-off. `replay/large_n` runs the engine with
+    // Gate 5: zero-cost-when-off. `replay/large_n` runs the engine with
     // the disabled no-op recorder, so this lane is the recorder-off hot
     // path. The 2% band is far tighter than run-to-run noise, so the
     // comparison is the current run's *best* sample (throughput scaled

@@ -31,7 +31,7 @@
 //! a fixed real-millisecond budget that time compression scales into
 //! simulated milliseconds.
 //!
-//! Both sides also report their cost ledgers (DESIGN.md §11). The live
+//! Both sides also report their cost ledgers (DESIGN.md §10). The live
 //! ledger is charged in *virtual* time, so residency is dominated by
 //! the deterministic execution schedule; only container lifetime
 //! decisions (eviction timing, racer outcomes) differ under real
@@ -159,7 +159,7 @@ fn ratio_line(report: &SimReport) -> String {
     )
 }
 
-/// One side's cost-ledger columns (DESIGN.md §11), in GB-seconds.
+/// One side's cost-ledger columns (DESIGN.md §10), in GB-seconds.
 fn ledger_line(report: &SimReport) -> String {
     let l = &report.ledger;
     format!(
@@ -353,7 +353,7 @@ fn main() -> ExitCode {
         // simulator side of the same workload (the live side agrees
         // within GBS_TOLERANCE, checked above). Stored raw in
         // `median_ns` — a plain scalar, lower is better — so
-        // bench_guard can ratchet it tightly (Gate 5).
+        // bench_guard can ratchet it tightly (Gate 4).
         harness.record(external_stat(
             format!("{}/gbs_per_req", scenario.lane),
             simulated.gb_s_per_request(),

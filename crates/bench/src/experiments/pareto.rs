@@ -5,12 +5,12 @@
 //! keep-warm-aggressiveness axis (`ttl@5s` … `ttl@600s`) — crossed
 //! with fault plans, and emits one row per cell with the latency
 //! objective (average overhead ratio), the cost ledger broken out by
-//! charge class (DESIGN.md §11), the GB-seconds-per-request bill, the
+//! charge class (DESIGN.md §10), the GB-seconds-per-request bill, the
 //! scheduling-work counters, and a `frontier` flag marking the
 //! non-dominated points of each fault-plan group. Everything is a
 //! deterministic function of the context seed, so the table and CSV
-//! are byte-identical across runs, `--jobs`, and shard counts —
-//! asserted by `tests/determinism.rs`.
+//! are byte-identical across runs and `--jobs` — asserted by
+//! `tests/determinism.rs`.
 
 use faas_metrics::{pareto_frontier, ParetoPoint, Table};
 use faas_sim::StartClass;

@@ -5,13 +5,12 @@
 //! substrate (same deterministic schedule as the `faults` sweep at
 //! rate 0.1) with the trace recorder enabled, decomposes every
 //! request's latency into queue / provision / retry / exec segments
-//! (DESIGN.md §12), and aggregates per policy × start class. Emits the
+//! (DESIGN.md §11), and aggregates per policy × start class. Emits the
 //! per-class table and CSV, an ASCII waterfall sketch, and a
 //! Perfetto-loadable Chrome trace-event JSON per policy under the
 //! output directory. Everything is a deterministic function of the
-//! context seed — byte-identical across runs, `--jobs`, and shard
-//! counts — asserted by `tests/determinism.rs` and the `ci.sh`
-//! double-run diff lane.
+//! context seed — byte-identical across runs and `--jobs` — asserted
+//! by `tests/determinism.rs` and the `ci.sh` double-run diff lane.
 
 use faas_metrics::{AsciiWaterfall, Table};
 use faas_obs::waterfall::{summarize_by_class, SEGMENT_NAMES};

@@ -120,7 +120,7 @@ impl KeepAlive for CipKeepAlive {
 
     fn explain(&self) -> Option<String> {
         // Folding a max over the HashMap is iteration-order-independent,
-        // keeping the note byte-identical across engines (DESIGN.md §12).
+        // keeping the note byte-identical across engines (DESIGN.md §11).
         let max_clock = self.clocks.values().fold(0.0f64, |a, &b| a.max(b));
         Some(format!(
             "clocks={} max_clock={max_clock:.3}",

@@ -211,7 +211,7 @@ impl Scaler for CssScaler {
 
     fn explain(&self) -> Option<String> {
         // Counting over the HashMap is iteration-order-independent,
-        // keeping the note byte-identical across engines (DESIGN.md §12).
+        // keeping the note byte-identical across engines (DESIGN.md §11).
         let off = self.fns.values().filter(|s| !s.bss_enabled).count();
         Some(format!("bss_off={off}/{}", self.fns.len()))
     }

@@ -27,6 +27,4 @@
 
 pub mod pool;
 
-pub use pool::{
-    kmerge_by_key, EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap, WorkerFreeList,
-};
+pub use pool::{EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap, WorkerFreeList};

@@ -1,7 +1,7 @@
 //! # faas-obs — deterministic observability for every engine
 //!
-//! A structured event recorder threaded through all four execution
-//! engines (sequential sim, sharded sim, live runtime, live host),
+//! A structured event recorder threaded through all three execution
+//! engines (sim, live runtime, live host),
 //! answering *why* a policy stack did what it did: every policy choice
 //! point — admit/queue/cold-start/speculative-start decisions, eviction
 //! victim selection with the losing candidates and their priorities,
@@ -10,14 +10,13 @@
 //! into queue / provisioning / retry / execution segments
 //! ([`waterfall`]).
 //!
-//! Three design rules (DESIGN.md §12):
+//! Three design rules (DESIGN.md §11):
 //!
 //! * **Deterministic.** Timestamps are virtual [`TimePoint`]s, never
 //!   wall clocks. Events are emitted only from the deterministic
-//!   control path — in the sharded engine that means conductor context
-//!   and the lineage-ordered `sync()` replay — so a sharded run's
-//!   stream is byte-identical to the sequential run's, at any shard
-//!   count, faults included.
+//!   control path, so a run's stream is byte-identical across repeat
+//!   runs and across the indexed and reference scan modes, faults
+//!   included.
 //! * **Zero-cost when off.** Engines are generic over [`Recorder`];
 //!   the unit [`NoopRecorder`] returns `enabled() == false` from an
 //!   inlined default method, so monomorphized untraced runs compile
@@ -354,7 +353,7 @@ impl Recorder for RingRecorder {
 }
 
 /// A finished recording: the retained events in emission order (which
-/// for the simulators is virtual-time lineage order), plus how many
+/// for the simulator is virtual-time order, FIFO among ties), plus how many
 /// older events the ring dropped.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceLog {

@@ -59,20 +59,17 @@ use crate::request::RequestState;
 /// assert_eq!(report.requests.len(), trace.len());
 /// ```
 pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
-    if config.shards > 1 {
-        return crate::shard::run_sharded(trace, config, stack);
-    }
     Simulation::new(trace, config, stack, NoopRecorder).run().0
 }
 
 /// Runs `trace` like [`run`] while recording the structured trace:
 /// request lifecycle spans, decision provenance (admissions, eviction
-/// candidates, retry scheduling), and fault events (DESIGN.md §12).
+/// candidates, retry scheduling), and fault events (DESIGN.md §11).
 ///
 /// The report is byte-identical to [`run`]'s — recording observes,
 /// never steers — and the event stream is byte-identical across the
-/// sequential and sharded engines at any shard count, so traces from
-/// different engines can be diffed directly.
+/// indexed and reference scan modes, so traces from either can be
+/// diffed directly.
 ///
 /// # Examples
 ///
@@ -86,9 +83,6 @@ pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
 /// assert!(!log.is_empty());
 /// ```
 pub fn run_traced(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> (SimReport, TraceLog) {
-    if config.shards > 1 {
-        return crate::shard::run_sharded_traced(trace, config, stack);
-    }
     let (report, rec) = Simulation::new(trace, config, stack, RingRecorder::unbounded()).run();
     (report, rec.into_log())
 }
@@ -132,7 +126,7 @@ struct Simulation<'a, R: Recorder> {
     /// a non-[`PriorityDeps::Volatile`] policy. Volatile policies fall
     /// back to a per-round heapify of fresh priorities.
     use_evict_index: bool,
-    /// Structured trace sink (DESIGN.md §12). [`NoopRecorder`] in
+    /// Structured trace sink (DESIGN.md §11). [`NoopRecorder`] in
     /// untraced runs, where monomorphization folds every emission
     /// site to nothing.
     rec: R,
@@ -234,8 +228,7 @@ impl<'a, R: Recorder> Simulation<'a, R> {
             "simulation drained events with unserved requests"
         );
         // Charge still-resident containers up to the ledger's high-water
-        // mark (the last charging mutation), which is identical across
-        // the sequential and sharded engines.
+        // mark (the last charging mutation).
         let settle_at = self.cluster.ledger_hwm();
         self.cluster.settle_ledger_at(settle_at);
         let report = SimReport {

@@ -1,4 +1,4 @@
-//! Deterministic resource-cost ledger (DESIGN.md §11).
+//! Deterministic resource-cost ledger (DESIGN.md §10).
 //!
 //! Latency metrics say what the policies won; this ledger says what
 //! they paid. Every container's memory residency is charged to exactly
@@ -11,16 +11,14 @@
 //! lost their race and never served).
 //!
 //! All accumulators are integers in MB·µs. Integer addition is exact
-//! and order-independent, so the sharded engine can merge per-shard
-//! ledgers by plain summation and stay byte-identical to the sequential
-//! engine — the same argument that makes the event counters mergeable.
+//! and order-independent, so partial ledgers (such as the end-of-run
+//! settlement tail) merge by plain summation with no rounding drift.
 //! Conversion to GB·s happens only at the reporting boundary.
 
 /// Resource costs and scheduling work accumulated over one run.
 ///
-/// Lives inside `ClusterState`, so shard checkpoints clone it and
-/// rollbacks restore it for free. See the module docs for the charging
-/// discipline and DESIGN.md §11 for where each class is charged.
+/// Lives inside `ClusterState`. See the module docs for the charging
+/// discipline and DESIGN.md §10 for where each class is charged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostLedger {
     /// Warm residency: memory × time from `warm_at` until destruction
@@ -49,8 +47,8 @@ pub struct CostLedger {
 const MB_US_PER_GB_S: f64 = 1024.0 * 1e6;
 
 impl CostLedger {
-    /// Adds `other`'s charges into `self` (shard-merge: exact integer
-    /// sums, so merge order cannot matter).
+    /// Adds `other`'s charges into `self` (exact integer sums, so merge
+    /// order cannot matter).
     pub fn merge(&mut self, other: &CostLedger) {
         self.keep_warm_mb_us += other.keep_warm_mb_us;
         self.idle_mb_us += other.idle_mb_us;

@@ -33,7 +33,7 @@
 /// Emits a trace event only when the recorder is enabled, so building
 /// the event (snapshots, provenance strings) costs nothing in untraced
 /// runs: with [`faas_obs::NoopRecorder`] the `enabled()` test is a
-/// constant `false` and the whole arm folds away (DESIGN.md §12).
+/// constant `false` and the whole arm folds away (DESIGN.md §11).
 macro_rules! obs {
     ($rec:expr, $ev:expr) => {
         if $rec.enabled() {
@@ -56,7 +56,6 @@ mod policy;
 pub mod reference;
 mod report;
 mod request;
-mod shard;
 
 pub use cluster::{ClusterState, FnRuntime, FnStats, PolicyCtx, Worker};
 pub use config::{Placement, ScanMode, SimConfig};

@@ -160,7 +160,7 @@ pub trait KeepAlive {
     }
 
     /// One-line provenance note attached to eviction trace events when
-    /// recording is enabled (DESIGN.md §12): the internal state that
+    /// recording is enabled (DESIGN.md §11): the internal state that
     /// drove victim choice (clock values, TTLs, frequency counters).
     /// Must be a pure function of policy state — the traced oracle
     /// demands byte-identical notes from every engine — and is only
@@ -202,7 +202,7 @@ pub trait Scaler {
     }
 
     /// One-line provenance note attached to admission-decision trace
-    /// events when recording is enabled (DESIGN.md §12): the state the
+    /// events when recording is enabled (DESIGN.md §11): the state the
     /// decision read (e.g. CSS's current cold-time estimate and warm
     /// count). Same determinism contract as [`KeepAlive::explain`].
     fn explain(&self) -> Option<String> {

@@ -61,7 +61,7 @@ pub struct SimReport {
     /// Simulated completion time of the last request.
     pub finished_at: TimePoint,
     /// Resource-cost ledger: memory residency by lifecycle class plus
-    /// scheduling-work counters (DESIGN.md §11).
+    /// scheduling-work counters (DESIGN.md §10).
     pub ledger: CostLedger,
     /// The instant the ledger was settled: the latest charge timestamp
     /// of the run. Residency tails of containers still alive at the end

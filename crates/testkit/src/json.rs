@@ -314,13 +314,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // step. Both are ASCII and the input is a &str, so the
+                    // run ends on a char boundary; validating only the run
+                    // keeps parsing linear in the input length.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }

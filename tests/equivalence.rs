@@ -1,17 +1,13 @@
-//! Differential test oracle for the indexed hot paths and the sharded
-//! parallel engine.
+//! Differential test oracle for the indexed hot paths.
 //!
-//! The simulator ships three implementations of every run: the indexed
-//! structures (`ScanMode::Indexed`, the default), the retained naive
-//! scans (`ScanMode::Reference`, the oracle), and the sharded parallel
-//! engine (`shards > 1`, DESIGN.md §9). Random workloads through all
-//! three must produce byte-identical reports — including every field of
-//! the cost ledger (DESIGN.md §11), compared individually so a charge
-//! class that diverges is named — any divergence is a bug in the index
-//! maintenance, the epoch-barrier protocol, or the ledger merge, and the
-//! testkit runner shrinks it to a minimal sequence automatically. The
-//! shard count is drawn from the choice stream too, so shrinking also
-//! minimizes the number of shards needed to reproduce a failure.
+//! The simulator ships two implementations of every run: the indexed
+//! structures (`ScanMode::Indexed`, the default) and the retained naive
+//! scans (`ScanMode::Reference`, the oracle). Random workloads through
+//! both must produce byte-identical reports — including every field of
+//! the cost ledger (DESIGN.md §10), compared individually so a charge
+//! class that diverges is named — and byte-identical traced provenance
+//! streams. Any divergence is a bug in the index maintenance, and the
+//! testkit runner shrinks it to a minimal sequence automatically.
 //!
 //! Policies are chosen to cover every [`cidre::sim::PriorityDeps`]
 //! class: frozen per-container priorities (LRU, TTL, GreedyDual — the
@@ -102,19 +98,10 @@ fn stacks() -> Vec<(&'static str, fn() -> PolicyStack)> {
     ]
 }
 
-/// Interesting shard counts: sequential, the smallest parallel case,
-/// odd splits that leave shards unevenly loaded, and the machine's
-/// actual parallelism. Listed ascending so choice-0 shrinking drives a
-/// failing case toward the fewest shards that still reproduce it.
-fn arb_shards(g: &mut Gen) -> usize {
-    let menu = [1, 2, 3, 7, faas_testkit::default_jobs()];
-    menu[g.usize(0..menu.len())]
-}
-
-/// Field-by-field cost-ledger comparison (DESIGN.md §11). The Debug
+/// Field-by-field cost-ledger comparison (DESIGN.md §10). The Debug
 /// equality below already covers the ledger byte-for-byte; naming the
-/// diverging charge class here makes a settlement or merge bug
-/// diagnosable from the failure message alone.
+/// diverging charge class here makes a settlement bug diagnosable from
+/// the failure message alone.
 fn assert_ledgers_match(label: &str, engines: &str, a: &SimReport, b: &SimReport) {
     let (x, y) = (&a.ledger, &b.ledger);
     assert_eq!(
@@ -141,9 +128,9 @@ fn assert_ledgers_match(label: &str, engines: &str, a: &SimReport, b: &SimReport
     );
 }
 
-/// Runs `trace` under both sequential scan modes and the sharded
-/// engine, demanding byte-identical reports from all three.
-fn assert_engines_agree(trace: &Trace, config: &SimConfig, shards: usize) {
+/// Runs `trace` under both scan modes, untraced and traced, demanding
+/// byte-identical reports and provenance streams.
+fn assert_scans_agree(trace: &Trace, config: &SimConfig) {
     let verbose = std::env::var("ORACLE_VERBOSE").is_ok();
     for (label, mk) in stacks() {
         if verbose {
@@ -160,20 +147,9 @@ fn assert_engines_agree(trace: &Trace, config: &SimConfig, shards: usize) {
             format!("{reference:?}"),
             "{label}: indexed and reference scans diverged"
         );
-        if verbose {
-            eprintln!("  stack={label} engine=sharded({shards})");
-        }
-        let sharded = run(trace, &config.clone().shards(shards), mk());
-        assert_ledgers_match(label, "sharded vs indexed", &sharded, &indexed);
-        assert_eq!(
-            format!("{sharded:?}"),
-            format!("{indexed:?}"),
-            "{label}: sharded run ({shards} shards) diverged from sequential"
-        );
         // Traced runs: recording must not steer (the report stays
         // byte-identical to the untraced run), and the provenance event
-        // stream must be byte-identical across engines and scan modes
-        // (DESIGN.md §12).
+        // stream must be byte-identical across scan modes (DESIGN.md §11).
         if verbose {
             eprintln!("  stack={label} engine=indexed traced");
         }
@@ -199,26 +175,7 @@ fn assert_engines_agree(trace: &Trace, config: &SimConfig, shards: usize) {
             format!("{:?}", log_reference.events()),
             "{label}: indexed and reference scans traced different provenance"
         );
-        if verbose {
-            eprintln!("  stack={label} engine=sharded({shards}) traced");
-        }
-        let (t_sharded, log_sharded) = run_traced(trace, &config.clone().shards(shards), mk());
-        assert_eq!(
-            format!("{t_sharded:?}"),
-            format!("{sharded:?}"),
-            "{label}: recording steered the sharded run"
-        );
-        assert_eq!(
-            format!("{:?}", log_sharded.events()),
-            format!("{:?}", log_indexed.events()),
-            "{label}: sharded run ({shards} shards) traced different provenance"
-        );
     }
-}
-
-/// The two-mode flavor for call sites that pin their own shard counts.
-fn assert_scans_agree(trace: &Trace, config: &SimConfig) {
-    assert_engines_agree(trace, config, 2);
 }
 
 #[test]
@@ -226,8 +183,7 @@ fn all_engines_agree_on_random_workloads() {
     checker("all_engines_agree_on_random_workloads").run(|g| {
         let trace = arb_trace(g);
         let config = arb_config(g);
-        let shards = arb_shards(g);
-        assert_engines_agree(&trace, &config, shards);
+        assert_scans_agree(&trace, &config);
     });
 }
 
@@ -253,27 +209,25 @@ fn all_engines_agree_under_faults() {
             );
         }
         let config = config.faults(plan);
-        let shards = arb_shards(g);
         if std::env::var("ORACLE_VERBOSE").is_ok() {
             eprintln!(
-                "case: invs={} fns={} shards={shards} config={config:?} trace={trace:?}",
+                "case: invs={} fns={} config={config:?} trace={trace:?}",
                 trace.len(),
                 trace.functions().len(),
             );
         }
-        assert_engines_agree(&trace, &config, shards);
+        assert_scans_agree(&trace, &config);
     });
 }
 
 /// The fast tier-1 smoke for `ci.sh`: one pinned seed, a hot two-worker
-/// cluster, every policy stack, two shards. Fails in seconds if the
-/// barrier protocol regresses; the full randomized oracle above covers
-/// the space.
+/// cluster, every policy stack. Fails in seconds if the indexed paths
+/// regress; the full randomized oracle above covers the space.
 #[test]
-fn sharded_oracle_smoke_two_shards() {
+fn pinned_oracle_smoke() {
     let trace = cidre::trace::gen::azure(42).functions(9).minutes(1).build();
     let config = SimConfig::default().workers_mb(vec![2_048, 2_048]);
-    assert_engines_agree(&trace, &config, 2);
+    assert_scans_agree(&trace, &config);
 }
 
 /// A tiny pinned scenario that forces multi-victim REPLACE rounds: one

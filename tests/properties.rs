@@ -196,7 +196,7 @@ fn integrate_memory_mb_us(memory: &cidre::metrics::TimeSeries, until_us: u64) ->
     total
 }
 
-/// GB-seconds conservation (DESIGN.md §11): the ledger charges every
+/// GB-seconds conservation (DESIGN.md §10): the ledger charges every
 /// container's residency to exactly one lifecycle class, so
 /// `cold_start + keep_warm` must equal the independently-integrated
 /// memory timeline — exactly, in integer MB·µs. The overlay classes
