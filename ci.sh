@@ -9,8 +9,6 @@ echo "== lint: rustfmt =="
 cargo fmt --check
 
 echo "== lint: clippy (offline, all warnings deny) =="
-# --workspace pulls in crates/live too, which default-members exclude
-# from build/test; lints still cover it.
 cargo clippy --offline --workspace -- -D warnings
 
 echo "== lint: cidre-lint (determinism & safety ratchet) =="
@@ -53,8 +51,8 @@ echo "== tier 1: oracle smoke (offline) =="
 cargo test -q --offline --release --test equivalence pinned_oracle_smoke
 
 echo "== tier 1: tests (offline) =="
-# Workspace default-members exclude crates/live, whose wall-clock
-# fidelity tests are load-sensitive; everything else runs.
+# Every workspace crate, crates/live included. Its wall-clock fidelity
+# tests are load-sensitive and opt-in (`#[ignore]`; see README).
 cargo test -q --offline
 
 echo "== tier 1: live load-gen smoke (offline) =="

@@ -42,7 +42,7 @@
 use std::process::ExitCode;
 
 use cidre_core::{cidre_stack, CidreConfig};
-use faas_live::{run_live_stats, LiveConfig};
+use faas_live::{run_live, LiveConfig};
 use faas_metrics::PercentileSink;
 use faas_policies::faascache_stack;
 use faas_sim::{run, PolicyStack, SimConfig, SimReport, StartClass};
@@ -253,7 +253,7 @@ fn main() -> ExitCode {
         .time_scale(scenario.time_scale);
 
     let simulated = run(&trace, &sim_cfg, mk());
-    let (live, stats) = run_live_stats(&trace, &live_cfg, mk());
+    let (live, stats) = run_live(&trace, &live_cfg, mk());
 
     let sim_sink = wait_sink(&simulated);
     let live_sink = wait_sink(&live);

@@ -9,10 +9,9 @@
 //! * [`task`](self) — a slab arena of spawned futures addressed by
 //!   `(slot, generation)`; wakers are `Arc<impl Wake>` handles into it,
 //!   and a fixed pool of worker threads drains the run queue.
-//! * [`reactor`](self) — one thread over a deadline heap (shared with
-//!   [`crate::timer`]'s [`crate::heap::DeadlineHeap`]); [`Sleep`]
-//!   futures register `(deadline, waker-slot)` entries and the reactor
-//!   fires them as deadlines pass.
+//! * [`reactor`](self) — one thread over a [`crate::heap::DeadlineHeap`];
+//!   [`Sleep`] futures register `(deadline, waker-slot)` entries and the
+//!   reactor fires them as deadlines pass.
 //! * [`blocking`](self) — a cached thread pool for genuinely blocking
 //!   work (real handler bodies), sized by *concurrently running*
 //!   handlers instead of in-flight requests.
@@ -440,8 +439,9 @@ mod tests {
         let exec = Executor::new(4);
         let fired = Arc::new(AtomicUsize::new(0));
         // All deadlines sit far enough out that every task registers
-        // with the reactor before the first one fires.
-        let base = Instant::now() + Duration::from_millis(300);
+        // with the reactor before the first one fires, even while other
+        // tests load the host.
+        let base = Instant::now() + Duration::from_millis(1000);
         let handles: Vec<_> = (0..TASKS)
             .map(|i| {
                 let handle = exec.handle();

@@ -15,12 +15,14 @@
 //! start a host cannot execute for you — is realised as a timed delay
 //! of `profile.cold_start` scaled by [`crate::LiveConfig::time_scale`].
 //!
-//! Fault injection ([`faas_sim::FaultPlan`]) applies only to trace
-//! replay ([`crate::run_live`]): replay owns every request's lifecycle,
-//! so crashed executions can be voided and re-queued. The interactive
-//! host hands outputs to external callers the moment handlers return
-//! and therefore cannot un-deliver them; its fault counters are always
-//! zero.
+//! The host drives the simulator's [`faas_sim::Orchestrator`], so every
+//! admission, eviction and fault-handling decision is the simulator's.
+//! What differs is fed in by this driver: requests are admitted when
+//! invoked, an execution's length is known only when its handler
+//! returns, the reply goes out at that moment, and ticks run until
+//! shutdown. A [`faas_sim::FaultPlan`] in [`crate::LiveConfig::sim`]
+//! applies here too: an execution voided by a worker crash sends no
+//! reply, and its request replies once, from its re-execution.
 //!
 //! ```
 //! use faas_live::{FaasHost, LiveConfig};
@@ -40,22 +42,19 @@
 //! assert_eq!(report.requests.len(), 1);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use faas_core::{EvictionIndex, RoundHeap};
-use faas_metrics::TimeSeries;
-use faas_obs::{EvictReason, NoopRecorder, ObsEvent, Recorder, RingRecorder, TraceLog};
+use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
 use faas_sim::{
-    ClusterState, ContainerId, ContainerInfo, PolicyCtx, PolicyStack, PriorityDeps, RequestId,
-    RequestRecord, ScaleDecision, ScanMode, SimReport, StartClass, WorkerId,
+    ContainerId, Event, Orchestrator, PolicyStack, RequestId, Schedule, SimReport, StartClass,
 };
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 use crate::exec;
-use crate::runtime::LiveConfig;
+use crate::runtime::{LiveConfig, WallClock};
 
 /// A deployed function's handler: bytes in, bytes out. Runs on a
 /// blocking-pool thread for every invocation.
@@ -90,9 +89,10 @@ impl InvokeHandle {
 
 enum Msg {
     Invoke(FunctionId, Vec<u8>, mpsc::Sender<InvokeOutcome>),
-    ProvisionDone(ContainerId),
+    /// An orchestrator event whose virtual deadline has passed.
+    Event(Event),
+    /// A handler returned: its output and measured wall time.
     ExecDone(ContainerId, RequestId, Vec<u8>, Duration),
-    Tick,
     Shutdown(mpsc::Sender<(SimReport, TraceLog)>),
 }
 
@@ -150,18 +150,29 @@ impl FaasHost {
         rec: R,
     ) -> Self {
         config.validate();
+        let mut handlers = HashMap::new();
+        let mut profiles = Vec::new();
+        for (profile, handler) in deployments {
+            assert!(
+                handlers.insert(profile.id, handler).is_none(),
+                "duplicate deployment of {}",
+                profile.id
+            );
+            profiles.push(profile);
+        }
+        let orch = Orchestrator::for_admission(&profiles, &config.sim, stack, rec);
         let executor = exec::Executor::new(config.exec_threads);
         let (tx, rx) = exec::channel::channel();
-        let orchestrator = Orchestrator::new(
-            config,
-            stack,
-            deployments,
-            executor.handle(),
-            tx.clone(),
-            rx,
-            rec,
-        );
-        drop(executor.spawn(orchestrator.run()));
+        let mut io = HostIo {
+            clock: WallClock::start(config.time_scale),
+            exec: executor.handle(),
+            tx: tx.clone(),
+            handlers,
+            inflight: HashMap::new(),
+        };
+        io.schedule(TimePoint::ZERO + config.sim.tick, Event::Tick);
+        orch.schedule_crashes(&mut io);
+        drop(executor.spawn(serve(orch, io, rx, config.sim.tick)));
         Self {
             tx,
             executor: Some(executor),
@@ -204,681 +215,118 @@ impl FaasHost {
     }
 }
 
+/// An invocation from its `invoke` until its reply.
 struct InFlight {
+    func: FunctionId,
     payload: Vec<u8>,
     reply: mpsc::Sender<InvokeOutcome>,
-    arrival: TimePoint,
-    func: FunctionId,
 }
 
-struct Orchestrator<R: Recorder> {
-    cluster: ClusterState,
-    policies: PolicyStack,
-    config: LiveConfig,
-    handlers: HashMap<FunctionId, Handler>,
-    start: Instant,
+/// The host's side of the orchestrator's schedule: timed events become
+/// reactor deadlines, and an execution start runs the real handler.
+struct HostIo {
+    clock: WallClock,
     exec: exec::Handle,
-    self_tx: exec::channel::Sender<Msg>,
-    rx: exec::channel::Receiver<Msg>,
-    next_request: u64,
+    tx: exec::channel::Sender<Msg>,
+    handlers: HashMap<FunctionId, Handler>,
     inflight: HashMap<RequestId, InFlight>,
-    /// Wait and class stamped when each request started executing.
-    started: HashMap<RequestId, (TimeDelta, StartClass)>,
-    busy_until: HashMap<ContainerId, Vec<TimePoint>>,
-    deferred: VecDeque<(FunctionId, bool)>,
-    records: Vec<RequestRecord>,
-    memory: TimeSeries,
-    running: u64,
-    finished_at: TimePoint,
-    shutdown_reply: Option<mpsc::Sender<(SimReport, TraceLog)>>,
-    last_memory_us: u64,
-    /// Per-worker lazy-deletion heap of eviction candidates, kept warm
-    /// across REPLACE rounds when `use_evict_index` is set.
-    evict_index: EvictionIndex<WorkerId, ContainerId>,
-    /// Whether cached priorities in `evict_index` are sound for the
-    /// configured keep-alive policy (see [`PriorityDeps`]).
-    use_evict_index: bool,
-    /// Provenance event sink; [`NoopRecorder`] for untraced hosts.
-    rec: R,
 }
 
-impl<R: Recorder> Orchestrator<R> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        config: LiveConfig,
-        policies: PolicyStack,
-        deployments: Vec<(FunctionProfile, Handler)>,
-        exec: exec::Handle,
-        self_tx: exec::channel::Sender<Msg>,
-        rx: exec::channel::Receiver<Msg>,
-        rec: R,
-    ) -> Self {
-        let max_worker = config.sim.workers_mb.iter().copied().max().unwrap_or(0);
-        let mut handlers = HashMap::new();
-        let mut profiles = Vec::new();
-        for (profile, handler) in deployments {
-            assert!(
-                (profile.mem_mb as u64) <= max_worker,
-                "function {} ({} MB) exceeds the largest worker ({} MB)",
-                profile.id,
-                profile.mem_mb,
-                max_worker
+impl Schedule for HostIo {
+    fn schedule(&mut self, at: TimePoint, event: Event) {
+        let Event::ExecDone(cid, rid) = event else {
+            exec::send_at(
+                &self.exec,
+                &self.tx,
+                self.clock.deadline(at),
+                Msg::Event(event),
             );
-            assert!(
-                handlers.insert(profile.id, handler).is_none(),
-                "duplicate deployment of {}",
-                profile.id
-            );
-            profiles.push(profile);
-        }
-        let mut cluster = ClusterState::with_placement(
-            &config.sim.workers_mb,
-            profiles,
-            config.sim.threads,
-            config.sim.placement,
-        );
-        cluster.set_scan(config.sim.scan);
-        let use_evict_index = config.sim.scan == ScanMode::Indexed
-            && policies.keepalive.priority_deps() != PriorityDeps::Volatile;
-        let start = Instant::now();
-        exec::send_at(
-            &exec,
-            &self_tx,
-            start + scale(config.sim.tick, config.time_scale),
-            Msg::Tick,
-        );
-        Self {
-            cluster,
-            policies,
-            config,
-            handlers,
-            start,
-            exec,
-            self_tx,
-            rx,
-            next_request: 0,
-            inflight: HashMap::new(),
-            started: HashMap::new(),
-            busy_until: HashMap::new(),
-            deferred: VecDeque::new(),
-            records: Vec::new(),
-            memory: TimeSeries::new(),
-            running: 0,
-            finished_at: TimePoint::ZERO,
-            shutdown_reply: None,
-            last_memory_us: 0,
-            evict_index: EvictionIndex::new(),
-            use_evict_index,
-            rec,
-        }
-    }
-
-    fn now(&self) -> TimePoint {
-        let real = self.start.elapsed().as_secs_f64();
-        TimePoint::from_micros((real / self.config.time_scale * 1e6) as u64)
-    }
-
-    /// Schedules `msg` for wall-clock delivery; see [`exec::send_at`].
-    fn schedule(&self, deadline: Instant, msg: Msg) {
-        exec::send_at(&self.exec, &self.self_tx, deadline, msg);
-    }
-
-    async fn run(mut self) {
-        loop {
-            let Some(msg) = self.rx.recv().await else {
-                return;
-            };
-            match msg {
-                Msg::Invoke(func, payload, reply) => self.on_invoke(func, payload, reply),
-                Msg::ProvisionDone(cid) => self.on_provision_done(cid),
-                Msg::ExecDone(cid, rid, output, real_exec) => {
-                    self.on_exec_done(cid, rid, output, real_exec)
-                }
-                Msg::Tick => self.on_tick(),
-                Msg::Shutdown(reply) => {
-                    self.shutdown_reply = Some(reply);
-                }
-            }
-            if let Some(reply) = self.shutdown_reply.take() {
-                if self.running == 0 && self.inflight.is_empty() {
-                    // Settle the ledger at its own virtual-time
-                    // high-water mark before reporting.
-                    let settle_at = self.cluster.ledger_hwm();
-                    self.cluster.settle_ledger_at(settle_at);
-                    let report = SimReport {
-                        requests: std::mem::take(&mut self.records),
-                        memory: std::mem::take(&mut self.memory),
-                        containers_created: self.cluster.containers_created,
-                        containers_evicted: self.cluster.containers_evicted,
-                        wasted_cold_starts: self.cluster.wasted_cold_starts,
-                        // Fault injection applies to trace replay
-                        // (`run_live`), not to the ad-hoc invocation host.
-                        provision_failures: 0,
-                        crash_evictions: 0,
-                        finished_at: self.finished_at,
-                        ledger: self.cluster.ledger,
-                        ledger_settled_at: settle_at,
-                    };
-                    let _ = reply.send((report, self.rec.take_log()));
-                    return;
-                }
-                self.shutdown_reply = Some(reply);
-            }
-        }
-    }
-
-    fn on_invoke(
-        &mut self,
-        func: FunctionId,
-        payload: Vec<u8>,
-        reply: mpsc::Sender<InvokeOutcome>,
-    ) {
-        assert!(
-            self.handlers.contains_key(&func),
-            "invoke of undeployed function {func}"
-        );
-        let now = self.now();
-        let rid = RequestId(self.next_request);
-        self.next_request += 1;
-        self.cluster.note_arrival(func, now);
-        self.inflight.insert(
-            rid,
-            InFlight {
-                payload,
-                reply,
-                arrival: now,
-                func,
-            },
-        );
-        if let Some(cid) = self.cluster.pick_available(func) {
-            self.start_exec(cid, rid, StartClass::Warm, now);
             return;
-        }
-        let info = faas_sim::RequestInfo {
-            id: rid,
-            func,
-            arrival: now,
         };
-        let mut decision = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            let d = self.policies.scaler.on_blocked(&info, &ctx);
-            if d == ScaleDecision::WaitWarm
-                && ctx.warm_count(func) == 0
-                && ctx.provisioning_count(func) == 0
-            {
-                ScaleDecision::Race
-            } else {
-                d
-            }
-        };
-        if let ScaleDecision::EnqueueOn(cid) = decision {
-            let valid = self
-                .cluster
-                .container(cid)
-                .map(|c| c.func == func && c.is_saturated())
-                .unwrap_or(false);
-            if !valid {
-                decision = ScaleDecision::ColdStart;
-            }
-        }
-        obs!(
-            self.rec,
-            ObsEvent::Admit {
-                at: now,
-                rid: rid.0,
-                func,
-                decision: decision.into(),
-                note: self.policies.scaler.explain(),
-            }
-        );
-        match decision {
-            ScaleDecision::ColdStart => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, true);
-                self.request_provision(func, false, now);
-            }
-            ScaleDecision::WaitWarm => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-            }
-            ScaleDecision::Race => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-                self.request_provision(func, true, now);
-            }
-            ScaleDecision::EnqueueOn(cid) => {
-                self.cluster.enqueue_local(cid, rid);
-            }
-        }
-    }
-
-    fn on_provision_done(&mut self, cid: ContainerId) {
-        let now = self.now();
-        self.cluster.finish_provision(cid, now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionEnd {
-                at: now,
-                cid: cid.0,
-                ok: true,
-            }
-        );
-        let func = self.cluster.container(cid).expect("just provisioned").func;
-        if let Some(rid) = self.pop_pending(func, true) {
-            self.start_exec(cid, rid, StartClass::Cold, now);
-        } else {
-            self.index_candidate(cid, now);
-            self.retry_deferred(now);
-        }
-    }
-
-    fn on_exec_done(
-        &mut self,
-        cid: ContainerId,
-        rid: RequestId,
-        output: Vec<u8>,
-        real_exec: Duration,
-    ) {
-        let now = self.now();
-        self.finished_at = self.finished_at.max(now);
-        self.running -= 1;
-        obs!(
-            self.rec,
-            ObsEvent::Finish {
-                at: now,
-                rid: rid.0,
-                cid: cid.0,
-            }
-        );
-        let flight = self.inflight.remove(&rid).expect("in-flight request");
-        self.cluster.note_completion(flight.func);
-        if let Some(ends) = self.busy_until.get_mut(&cid) {
-            if !ends.is_empty() {
-                ends.remove(0);
-            }
-            if ends.is_empty() {
-                self.busy_until.remove(&cid);
-            }
-        }
-        self.cluster.release_thread(cid, now);
-
-        // Record in simulated units: the exec is the measured wall time
-        // mapped back through the compression factor.
-        let exec =
-            TimeDelta::from_micros((real_exec.as_secs_f64() / self.config.time_scale * 1e6) as u64);
-        let (wait, class) = self.started.remove(&rid).expect("request was started");
-        let record = RequestRecord {
-            func: flight.func,
-            arrival: flight.arrival,
-            wait,
-            exec,
-            class,
-        };
-        self.records.push(record);
-        let _ = flight.reply.send(InvokeOutcome {
-            output,
-            class,
-            wait,
-        });
-
-        if let Some(next) = self.cluster.dequeue_local(cid) {
-            self.start_exec(cid, next, StartClass::DelayedWarm, now);
-            return;
-        }
-        if let Some(next) = self.pop_pending(flight.func, false) {
-            self.start_exec(cid, next, StartClass::DelayedWarm, now);
-            return;
-        }
-        self.index_candidate(cid, now);
-        self.retry_deferred(now);
-    }
-
-    fn on_tick(&mut self) {
-        let now = self.now();
-        let expired = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.expirations(&ctx)
-        };
-        for cid in expired {
-            let still_idle = self
-                .cluster
-                .container(cid)
-                .map(|c| c.is_idle() && c.local_queue.is_empty())
-                .unwrap_or(false);
-            if still_idle {
-                self.evict_container(cid, now, EvictReason::Expire);
-            }
-        }
-        if self.policies.prewarm.is_some() {
-            let wants = {
-                let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-                self.policies
-                    .prewarm
-                    .as_mut()
-                    .expect("checked")
-                    .on_tick(&ctx)
-            };
-            for func in wants {
-                let mem = self.cluster.profile(func).mem_mb;
-                if self.cluster.pick_worker(mem).is_some() {
-                    self.request_provision(func, false, now);
-                }
-            }
-        }
-        self.schedule(
-            Instant::now() + scale(self.config.sim.tick, self.config.time_scale),
-            Msg::Tick,
-        );
-    }
-
-    fn start_exec(&mut self, cid: ContainerId, rid: RequestId, class: StartClass, now: TimePoint) {
-        let (was_speculative, warm_at) = {
-            let c = self.cluster.container(cid).expect("live container");
-            (c.speculative_unused, c.warm_at)
-        };
-        self.cluster.occupy_thread(cid, now);
-        self.evict_index.leave(cid);
-        self.running += 1;
-        let flight = self.inflight.get(&rid).expect("in-flight request");
-        let (func, arrival, payload) = (flight.func, flight.arrival, flight.payload.clone());
-        let wait = now.saturating_since(arrival);
-        self.started.insert(rid, (wait, class));
-        obs!(
-            self.rec,
-            ObsEvent::Start {
-                at: now,
-                rid: rid.0,
-                cid: cid.0,
-                func,
-                class: class.into(),
-                wait,
-            }
-        );
-        // We do not know the handler's duration ahead of time; busy_until
-        // gets a far-future placeholder so oracle queries stay sane.
-        self.busy_until
-            .entry(cid)
-            .or_default()
-            .push(now + TimeDelta::from_secs(3600));
-
-        let handler = Arc::clone(self.handlers.get(&func).expect("deployed"));
-        let done_tx = self.self_tx.clone();
-        // The handler runs on the executor's cached blocking pool: one
-        // pool thread per *running* invocation, reused across bursts,
-        // instead of a fresh OS thread per request.
+        // The execution is real, so `at` is only the orchestrator's
+        // booking horizon: the handler's return reports the end. It runs
+        // on the executor's cached blocking pool — one pool thread per
+        // *running* invocation, reused across bursts.
+        let flight = self
+            .inflight
+            .get(&rid)
+            .expect("a starting request is in flight");
+        let handler = Arc::clone(self.handlers.get(&flight.func).expect("deployed"));
+        let payload = flight.payload.clone();
+        let done = self.tx.clone();
         drop(self.exec.spawn_blocking(move || {
             let begun = Instant::now();
             let output = handler(payload);
-            let _ = done_tx.send(Msg::ExecDone(cid, rid, output, begun.elapsed()));
+            let _ = done.send(Msg::ExecDone(cid, rid, output, begun.elapsed()));
         }));
-
-        let info = faas_sim::RequestInfo {
-            id: rid,
-            func,
-            arrival,
-        };
-        let cinfo = ContainerInfo::from(self.cluster.container(cid).expect("live container"));
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        if class != StartClass::Cold {
-            self.policies.keepalive.on_reuse(&cinfo, &ctx);
-        }
-        self.policies
-            .scaler
-            .on_start(&info, class, wait, TimeDelta::ZERO, &ctx);
-        if was_speculative {
-            let idle = now.saturating_since(warm_at);
-            self.policies.scaler.on_cold_outcome(func, Some(idle), &ctx);
-        }
-    }
-
-    fn request_provision(&mut self, func: FunctionId, speculative: bool, now: TimePoint) {
-        let mem = self.cluster.profile(func).mem_mb;
-        let Some(worker) = self.cluster.pick_worker(mem) else {
-            obs!(
-                self.rec,
-                ObsEvent::Defer {
-                    at: now,
-                    func,
-                    speculative,
-                }
-            );
-            self.deferred.push_back((func, speculative));
-            return;
-        };
-        let mut evicted = Vec::new();
-        if self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-            // Victim-selection provenance, snapshotted before the
-            // REPLACE round mutates the idle set (recording path only).
-            if self.rec.enabled() {
-                let candidates = self.eviction_snapshot(worker, now);
-                self.rec.record(ObsEvent::EvictCandidates {
-                    at: now,
-                    worker: worker.0,
-                    incoming: func,
-                    candidates,
-                });
-            }
-            // REPLACE mirror of the trace-replay runtime (see
-            // `crate::runtime`): cached cross-round heap when priorities
-            // allow it, otherwise a per-round snapshot of the idle set.
-            if self.use_evict_index {
-                while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                    let popped = {
-                        let cluster = &self.cluster;
-                        let busy = &self.busy_until;
-                        let ka = &self.policies.keepalive;
-                        let ctx = PolicyCtx::new(now, cluster, busy);
-                        self.evict_index.pop_min(worker, |cid| {
-                            let c = cluster.container(cid)?;
-                            if !c.is_idle() {
-                                return None;
-                            }
-                            Some(ka.priority(&ContainerInfo::from(c), &ctx))
-                        })
-                    };
-                    let Some((_, victim)) = popped else {
-                        obs!(
-                            self.rec,
-                            ObsEvent::Defer {
-                                at: now,
-                                func,
-                                speculative,
-                            }
-                        );
-                        self.deferred.push_back((func, speculative));
-                        return;
-                    };
-                    evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                }
-            } else {
-                let candidates: Vec<(f64, ContainerId)> = {
-                    let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-                    let ka = &self.policies.keepalive;
-                    self.cluster.workers()[worker.0 as usize]
-                        .idle
-                        .iter()
-                        .map(|&cid| {
-                            let cinfo = ctx.container(cid).expect("idle containers are live");
-                            (ka.priority(&cinfo, &ctx), cid)
-                        })
-                        .collect()
-                };
-                match self.cluster.scan() {
-                    ScanMode::Indexed => {
-                        let mut heap = RoundHeap::from_entries(candidates);
-                        while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                            let Some((_, victim)) = heap.pop() else {
-                                obs!(
-                                    self.rec,
-                                    ObsEvent::Defer {
-                                        at: now,
-                                        func,
-                                        speculative,
-                                    }
-                                );
-                                self.deferred.push_back((func, speculative));
-                                return;
-                            };
-                            evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                        }
-                    }
-                    ScanMode::Reference => {
-                        let sorted = faas_sim::reference::sorted_eviction_candidates(candidates);
-                        let mut victims = sorted.into_iter();
-                        while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                            let Some((_, victim)) = victims.next() else {
-                                obs!(
-                                    self.rec,
-                                    ObsEvent::Defer {
-                                        at: now,
-                                        func,
-                                        speculative,
-                                    }
-                                );
-                                self.deferred.push_back((func, speculative));
-                                return;
-                            };
-                            evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                        }
-                    }
-                }
-            }
-        }
-        if !evicted.is_empty() {
-            self.cluster.note_replace_round();
-        }
-        let cid = self.cluster.begin_provision(func, worker, now, speculative);
-        self.note_memory(now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionBegin {
-                at: now,
-                cid: cid.0,
-                func,
-                worker: worker.0,
-                speculative,
-                // The interactive host has no fault model, hence no
-                // retries: every provision is a first attempt.
-                attempt: 0,
-            }
-        );
-        let cinfo = ContainerInfo::from(self.cluster.container(cid).expect("just created"));
-        let cold = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_admit(&cinfo, &evicted, &ctx);
-            self.policies
-                .keepalive
-                .provision_latency(func, &ctx)
-                .unwrap_or_else(|| self.cluster.profile(func).cold_start)
-        };
-        self.schedule(
-            Instant::now() + scale(cold, self.config.time_scale),
-            Msg::ProvisionDone(cid),
-        );
-    }
-
-    fn evict_container(
-        &mut self,
-        cid: ContainerId,
-        now: TimePoint,
-        reason: EvictReason,
-    ) -> ContainerInfo {
-        let was_unused = self
-            .cluster
-            .container(cid)
-            .map(|c| c.speculative_unused)
-            .unwrap_or(false);
-        self.evict_index.leave(cid);
-        let info = self.cluster.evict(cid, now);
-        self.note_memory(now);
-        obs!(
-            self.rec,
-            ObsEvent::Evict {
-                at: now,
-                cid: cid.0,
-                func: info.func,
-                worker: info.worker.0,
-                reason,
-                note: self.policies.keepalive.explain(),
-            }
-        );
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        self.policies.keepalive.on_evict(&info, &ctx);
-        if was_unused {
-            self.policies.scaler.on_cold_outcome(info.func, None, &ctx);
-        }
-        info
-    }
-
-    /// Idle containers on `worker` with their keep-alive priorities, in
-    /// eviction order — the [`ObsEvent::EvictCandidates`] provenance
-    /// snapshot. Only called on the recording path.
-    fn eviction_snapshot(&self, worker: WorkerId, now: TimePoint) -> Vec<(u64, f64)> {
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        let ka = &self.policies.keepalive;
-        let candidates: Vec<(f64, ContainerId)> = self.cluster.workers()[worker.0 as usize]
-            .idle
-            .iter()
-            .map(|&cid| {
-                let cinfo = ctx.container(cid).expect("idle containers are live");
-                (ka.priority(&cinfo, &ctx), cid)
-            })
-            .collect();
-        faas_sim::reference::sorted_eviction_candidates(candidates)
-            .into_iter()
-            .map(|(p, cid)| (cid.0, p))
-            .collect()
-    }
-
-    /// Enters `cid` into the eviction index if it just became idle,
-    /// caching its current priority. No-op unless cross-round caching
-    /// is enabled.
-    fn index_candidate(&mut self, cid: ContainerId, now: TimePoint) {
-        if !self.use_evict_index {
-            return;
-        }
-        let Some(c) = self.cluster.container(cid) else {
-            return;
-        };
-        if !c.is_idle() {
-            return;
-        }
-        let worker = c.worker;
-        let priority = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies
-                .keepalive
-                .priority(&ContainerInfo::from(c), &ctx)
-        };
-        self.evict_index.enter(worker, cid, priority);
-    }
-
-    fn pop_pending(&mut self, func: FunctionId, any: bool) -> Option<RequestId> {
-        let rt = self.cluster.fn_runtime_mut(func);
-        if any {
-            rt.pending.pop_any().map(|(rid, _)| rid)
-        } else {
-            rt.pending.pop_flexible()
-        }
-    }
-
-    fn retry_deferred(&mut self, now: TimePoint) {
-        while let Some(&(func, speculative)) = self.deferred.front() {
-            let mem = self.cluster.profile(func).mem_mb;
-            if self.cluster.pick_worker(mem).is_none() {
-                break;
-            }
-            self.deferred.pop_front();
-            self.request_provision(func, speculative, now);
-        }
-    }
-
-    fn note_memory(&mut self, now: TimePoint) {
-        if self.config.sim.record_memory {
-            let us = now.as_micros().max(self.last_memory_us);
-            self.last_memory_us = us;
-            self.memory.push(us, self.cluster.used_mb() as f64);
-        }
     }
 }
 
-fn scale(d: TimeDelta, time_scale: f64) -> Duration {
-    Duration::from_secs_f64(d.as_secs_f64() * time_scale)
+/// The host's orchestrator task: admits invocations, delivers timed
+/// events and handler returns, and once shutdown is requested reports
+/// as soon as nothing is in flight.
+async fn serve<R: Recorder>(
+    mut orch: Orchestrator<R>,
+    mut io: HostIo,
+    mut rx: exec::channel::Receiver<Msg>,
+    tick: TimeDelta,
+) {
+    let mut shutdown = None;
+    while let Some(msg) = rx.recv().await {
+        let now = io.clock.now();
+        let event = match msg {
+            Msg::Invoke(func, payload, reply) => {
+                assert!(
+                    io.handlers.contains_key(&func),
+                    "invoke of undeployed function {func}"
+                );
+                let rid = orch.admit(func, now);
+                io.inflight.insert(
+                    rid,
+                    InFlight {
+                        func,
+                        payload,
+                        reply,
+                    },
+                );
+                Some(Event::Arrival(rid))
+            }
+            Msg::Event(event) => Some(event),
+            Msg::ExecDone(cid, rid, output, real_exec) => {
+                // No live execution means a worker crash voided this
+                // one: the request re-executes and replies from there.
+                if let Some(record) = orch.running_record(cid, rid) {
+                    record.exec = io.clock.virtual_span(real_exec);
+                    let flight = io
+                        .inflight
+                        .remove(&rid)
+                        .expect("a running request is in flight");
+                    let _ = flight.reply.send(InvokeOutcome {
+                        output,
+                        class: record.class,
+                        wait: record.wait,
+                    });
+                }
+                Some(Event::ExecDone(cid, rid))
+            }
+            Msg::Shutdown(reply) => {
+                shutdown = Some(reply);
+                None
+            }
+        };
+        if let Some(event) = event {
+            orch.handle(now, event, &mut io);
+            if event == Event::Tick {
+                // A host serves until shut down: its ticks never stop.
+                io.schedule(now + tick, Event::Tick);
+            }
+        }
+        if orch.in_flight() == 0 {
+            if let Some(reply) = shutdown.take() {
+                let (report, mut rec) = orch.finish();
+                let _ = reply.send((report, rec.take_log()));
+                return;
+            }
+        }
+    }
 }

@@ -6,14 +6,17 @@
 //! the bridge between the two: it executes a trace against the **wall
 //! clock** — arrivals injected by a real-time driver, provisioning and
 //! execution latencies realised as actual timed delays, and an
-//! orchestrator thread that reacts to events in whatever order the OS
+//! orchestrator task that reacts to events in whatever order the OS
 //! delivers them.
 //!
-//! The same [`faas_sim::PolicyStack`] drives both hosts, so live runs
-//! double as a fidelity check for the simulator: policy decisions here
-//! race against genuine asynchrony instead of a deterministic virtual
-//! clock, and the resulting class ratios should (and do — see the
-//! integration tests) agree with simulation up to timing noise.
+//! That orchestrator is the simulator's own [`faas_sim::Orchestrator`]:
+//! this crate only drives it from the wall clock, so the same
+//! [`faas_sim::PolicyStack`] makes the same decisions through the same
+//! code in both hosts. Live runs double as a fidelity check for the
+//! simulator: decisions here race against genuine asynchrony instead of
+//! a deterministic virtual clock, and the resulting class ratios should
+//! (and do — see the opt-in fidelity tests) agree with simulation up to
+//! timing noise.
 //!
 //! Two modes are provided:
 //!
@@ -42,32 +45,23 @@
 //! let trace = gen::azure(3).functions(5).minutes(1).build();
 //! // 1 simulated second = 1 real millisecond: the minute replays in 60 ms.
 //! let config = LiveConfig::default().time_scale(0.001);
-//! let report = run_live(&trace, &config, baseline_lru_stack());
+//! let (report, stats) = run_live(&trace, &config, baseline_lru_stack());
 //! assert_eq!(report.requests.len(), trace.len());
+//! assert!(stats.peak_inflight >= 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Emits a provenance event iff the recorder is enabled: the event
-/// expression (and anything cloned to build it) is only evaluated when
-/// recording, so `NoopRecorder` monomorphizations compile every
-/// emission site to nothing. Same macro as the simulator's.
-macro_rules! obs {
-    ($rec:expr, $ev:expr) => {
-        if $rec.enabled() {
-            let ev = $ev;
-            $rec.record(ev);
-        }
-    };
-}
-
 pub mod exec;
 mod heap;
 mod host;
 mod runtime;
-mod timer;
 
 pub use host::{FaasHost, Handler, InvokeHandle, InvokeOutcome};
-pub use runtime::{run_live, run_live_stats, run_live_traced, LiveConfig, LiveStats};
-pub use timer::Timer;
+pub use runtime::{run_live, LiveConfig, LiveStats};
+
+/// Serialises the unit tests that race the wall clock, so that they do
+/// not skew each other's timing.
+#[cfg(test)]
+static WALL_CLOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -1,11 +1,15 @@
 //! Simulator-fidelity tests: the same trace and policy stack replayed on
 //! the live host must produce class ratios close to the deterministic
 //! simulation, despite wall-clock asynchrony.
+//!
+//! They measure a wall-clock host against timing tolerances, so a
+//! loaded machine can fail them without a bug; they are opt-in:
+//! `cargo test -p faas-live --test fidelity -- --ignored`.
 
 use std::sync::Mutex;
 
 use cidre_core::{cidre_stack, CidreConfig};
-use faas_live::{run_live, run_live_stats, LiveConfig};
+use faas_live::{run_live, LiveConfig};
 use faas_policies::faascache_stack;
 use faas_sim::{run, PolicyStack, SimConfig, StartClass};
 use faas_trace::{gen, FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
@@ -33,7 +37,7 @@ fn compare(label: &str, mk: fn() -> PolicyStack, tolerance: f64) {
 
     let mut last_error = String::new();
     for _attempt in 0..3 {
-        let live = run_live(&trace, &live_cfg, mk());
+        let (live, _) = run_live(&trace, &live_cfg, mk());
         assert_eq!(live.requests.len(), trace.len(), "{label}: conservation");
         last_error.clear();
         for class in [StartClass::Warm, StartClass::Cold, StartClass::DelayedWarm] {
@@ -61,16 +65,19 @@ fn compare(label: &str, mk: fn() -> PolicyStack, tolerance: f64) {
 }
 
 #[test]
+#[ignore = "wall-clock fidelity; run with --ignored"]
 fn lru_matches_simulation() {
     compare("faascache", faascache_stack, 0.10);
 }
 
 #[test]
+#[ignore = "wall-clock fidelity; run with --ignored"]
 fn cidre_matches_simulation() {
     compare("cidre", || cidre_stack(CidreConfig::default()), 0.12);
 }
 
 #[test]
+#[ignore = "wall-clock fidelity; run with --ignored"]
 fn class_ratios_agree_at_high_concurrency() {
     // Thousands of requests in flight at once: 3000 requests arrive
     // over 10 simulated seconds, each executing for 15 simulated
@@ -107,7 +114,7 @@ fn class_ratios_agree_at_high_concurrency() {
 
     let mut last_error = String::new();
     for _attempt in 0..3 {
-        let (live, stats) = run_live_stats(&trace, &live_cfg, faascache_stack());
+        let (live, stats) = run_live(&trace, &live_cfg, faascache_stack());
         assert_eq!(live.requests.len(), REQUESTS, "conservation");
         assert!(
             stats.peak_inflight >= (REQUESTS as u64) * 2 / 3,
@@ -137,6 +144,7 @@ fn class_ratios_agree_at_high_concurrency() {
 }
 
 #[test]
+#[ignore = "wall-clock fidelity; run with --ignored"]
 fn live_cold_waits_cover_provisioning_latency() {
     let _guard = LIVE_HOST.lock().unwrap_or_else(|p| p.into_inner());
     let trace = gen::fc(4)
@@ -147,7 +155,7 @@ fn live_cold_waits_cover_provisioning_latency() {
     let live_cfg = LiveConfig::default()
         .sim(SimConfig::with_cache_gb(6))
         .time_scale(0.002);
-    let report = run_live(&trace, &live_cfg, faascache_stack());
+    let (report, _) = run_live(&trace, &live_cfg, faascache_stack());
     for r in report
         .requests
         .iter()

@@ -200,3 +200,59 @@ fn memory_pressure_evicts_on_live_host() {
     );
     assert_eq!(report.count(StartClass::Cold), 3);
 }
+
+#[test]
+fn faults_reach_the_host_and_every_invoke_replies_once() {
+    use faas_sim::{FaultPlan, Placement, WorkerId};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let _guard = LIVE_HOST.lock().expect("live-host lock");
+    // First-fit packs every container onto worker 0, which crashes at
+    // simulated 5 s (50 ms real) while the 100 ms handlers run. Seed 3
+    // fails the first provision at p = 0.8.
+    let plan = FaultPlan::none()
+        .seed(3)
+        .provision_failures(0.8)
+        .retry_backoff(TimeDelta::from_millis(10), TimeDelta::from_millis(80))
+        .crash_worker(faas_trace::TimePoint::from_secs(5), WorkerId(0));
+    let config = LiveConfig::default()
+        .sim(
+            SimConfig::default()
+                .workers_mb(vec![1024, 1024])
+                .placement(Placement::FirstFit)
+                .faults(plan),
+        )
+        .time_scale(0.01);
+    let calls = std::sync::Arc::new(AtomicUsize::new(0));
+    let counted = std::sync::Arc::clone(&calls);
+    let handler: Handler = std::sync::Arc::new(move |payload: Vec<u8>| {
+        counted.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        payload
+    });
+    let host = FaasHost::start(
+        config,
+        baseline_lru_stack(),
+        vec![(profile(0, 100), handler)],
+    );
+    let handles: Vec<_> = (0..4u8)
+        .map(|i| host.invoke(FunctionId(0), vec![i]))
+        .collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        let out = h.wait().expect("every invoke replies");
+        assert_eq!(
+            out.output,
+            vec![i as u8],
+            "outputs must match their requests"
+        );
+    }
+    let report = host.shutdown();
+    // One record per invoke: a voided execution records and replies
+    // nothing, its re-execution exactly once.
+    assert_eq!(report.requests.len(), 4);
+    assert!(report.provision_failures > 0, "seed 3 at p=0.8 must fail");
+    assert!(report.crash_evictions > 0, "worker 0 hosted containers");
+    assert!(
+        calls.load(Ordering::Relaxed) > 4,
+        "the crash voided running executions, which ran again"
+    );
+}

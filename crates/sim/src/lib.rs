@@ -9,6 +9,10 @@
 //! * [`run`] executes a [`faas_trace::Trace`] under a [`PolicyStack`]
 //!   (a [`KeepAlive`] eviction policy, a [`Scaler`], and optionally a
 //!   [`Prewarm`] policy) and produces a [`SimReport`].
+//! * [`Orchestrator`] is the one implementation of the dispatch,
+//!   admission and eviction mechanics: a sans-IO state machine that
+//!   [`run`] steps from a virtual-time event heap and the `faas-live`
+//!   drivers step from the wall clock.
 //! * CIDRE itself and all baselines are implementations of these traits,
 //!   living in the `cidre-core` and `faas-policies` crates.
 //!
@@ -52,6 +56,7 @@ mod fault;
 mod ids;
 mod invariant;
 mod ledger;
+mod orchestrator;
 mod policy;
 pub mod reference;
 mod report;
@@ -66,6 +71,7 @@ pub use fault::{FaultPlan, FaultState};
 pub use ids::{ContainerId, RequestId, WorkerId};
 pub use invariant::InvariantChecker;
 pub use ledger::CostLedger;
+pub use orchestrator::{Orchestrator, Schedule};
 pub use policy::{
     AlwaysCold, KeepAlive, PolicyStack, Prewarm, PriorityDeps, ScaleDecision, Scaler, StartClass,
 };

@@ -45,7 +45,7 @@ fn main() {
     ];
     for (name, mk) in contenders {
         let simulated = run(&trace, &sim_cfg, mk());
-        let live = run_live(&trace, &live_cfg, mk());
+        let (live, _) = run_live(&trace, &live_cfg, mk());
         for (host, report) in [("sim", &simulated), ("live", &live)] {
             println!(
                 "{:<12} {:<6} {:>6.1}% {:>8.1}% {:>6.1}% {:>12.1}",

@@ -104,7 +104,8 @@ fn live_and_sim_agree_on_fault_counters() {
     let live_cfg = cidre::live::LiveConfig::default()
         .sim(sim_cfg)
         .time_scale(0.0005);
-    let live_report = cidre::live::run_live(&trace, &live_cfg, cidre_stack(CidreConfig::default()));
+    let (live_report, _) =
+        cidre::live::run_live(&trace, &live_cfg, cidre_stack(CidreConfig::default()));
     assert_eq!(sim_report.requests.len(), trace.len());
     assert_eq!(live_report.requests.len(), trace.len());
     assert!(sim_report.crash_evictions > 0);
